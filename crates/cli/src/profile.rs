@@ -94,20 +94,10 @@ pub struct ProfileReport {
     pub convergence: ConvergenceReport,
 }
 
-/// Human phase label for a canonical span name.
+/// Human phase label for a canonical span name, from the span registry in
+/// `gsched_obs::names::spans`.
 fn phase_label(span: &str) -> &'static str {
-    match span {
-        "core.solve" => "fixed-point orchestration",
-        "core.class*" => "class orchestration",
-        "core.vacation" => "vacation analysis",
-        "core.generator" => "generator build",
-        "core.effective" => "effective quanta",
-        "core.measures" => "stationary measures",
-        "qbd.solve" => "QBD assembly",
-        "qbd.solve_r" => "R iteration",
-        "qbd.boundary_solve" => "boundary solve",
-        _ => "other",
-    }
+    obs::names::spans::label(span).unwrap_or("other")
 }
 
 /// The models a profile run solves, in order.
@@ -350,8 +340,13 @@ mod tests {
             "core.effective",
             "core.measures",
             "qbd.solve",
+            "qbd.irreducible",
+            "qbd.drift",
             "qbd.solve_r",
+            "qbd.spectral_radius",
+            "qbd.i_minus_r_inverse",
             "qbd.boundary_solve",
+            "qbd.truncation_attempt",
         ] {
             assert_ne!(phase_label(span), "other", "no label for {span}");
         }

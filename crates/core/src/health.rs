@@ -22,7 +22,8 @@ pub struct ClassHealth {
     /// when stable, near zero at the edge of saturation.
     pub drift_margin: f64,
     /// Spectral radius of the rate matrix `R` (`NaN` when unstable — no `R`
-    /// exists).
+    /// exists — or when the power iteration did not converge on a stable
+    /// class, which [`HealthReport::warnings`] flags).
     pub spectral_radius: f64,
     /// Residual `‖A₀ + RA₁ + R²A₂‖_∞` of the computed `R` (`NaN` when
     /// unstable).
@@ -92,7 +93,12 @@ impl HealthReport {
                     c.class, c.drift_margin, th.drift_margin
                 ));
             }
-            if 1.0 - c.spectral_radius < th.spectral_gap {
+            if c.spectral_radius.is_nan() {
+                out.push(format!(
+                    "class {}: sp(R) unavailable — power iteration did not converge (periodic R?); stability certified by (I-R)^-1 >= 0",
+                    c.class
+                ));
+            } else if 1.0 - c.spectral_radius < th.spectral_gap {
                 out.push(format!(
                     "class {}: spectral gap 1-sp(R) = {:.4} below {:.4} — slow geometric tail",
                     c.class,
@@ -227,6 +233,18 @@ mod tests {
         assert!(warnings[4].contains("certified truncation tail"));
         let text = report.render(&th);
         assert_eq!(text.matches("WARN").count(), 5);
+    }
+
+    #[test]
+    fn unconverged_spectral_radius_warns() {
+        let mut periodic = healthy(0);
+        periodic.spectral_radius = f64::NAN;
+        let report = HealthReport {
+            classes: vec![periodic],
+        };
+        let warnings = report.warnings(&HealthThresholds::default());
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("sp(R) unavailable"));
     }
 
     #[test]

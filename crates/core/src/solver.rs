@@ -24,6 +24,7 @@ use gsched_obs as obs;
 use gsched_phase::PhaseType;
 use gsched_qbd::solution::SolveOptions as QbdSolveOptions;
 use gsched_qbd::{QbdError, QbdSolution};
+use obs::names::spans;
 
 // Re-exported so downstream crates (CLI, service) can name the R-solver
 // method without depending on gsched-qbd directly.
@@ -379,18 +380,20 @@ enum ClassIterate {
 /// Converged solver state exportable to a neighbouring scenario.
 ///
 /// A sweep engine hands the `WarmStart` returned for point `k` to the solve
-/// of point `k+1`: the effective quanta seed the fixed point near its
-/// solution and each class's `R` matrix seeds the successive-substitution
-/// iteration for eq. (23). Passing `WarmStart::default()` (nothing to seed
-/// from) still enables *continuation mode*, in which each fixed-point pass
-/// warm-starts its `R` solves from the previous pass of the same solve.
+/// of point `k+1`, whose effective-quantum fixed point then starts near its
+/// solution. Only the quanta carry over: every `R` of eq. (23) is solved
+/// cold, since seeding successive substitution from a neighbouring `R`
+/// took more iterations than a cold logarithmic reduction on every
+/// registry sweep.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Converged per-class effective quanta (ignored by
     /// [`VacationMode::HeavyTraffic`], which is defined by full quanta).
     pub quanta: Option<Vec<PhaseType>>,
-    /// Converged per-class rate matrices `R`; `None` for classes that were
-    /// unstable at the exporting point.
+    /// Per-class rate matrices `R`. The gang solver neither reads nor fills
+    /// it ([`solve_warm`] returns it empty); it remains for callers that
+    /// seed a QBD solve themselves through
+    /// [`gsched_qbd::SolveOptions::initial_r`].
     pub r_matrices: Vec<Option<Matrix>>,
 }
 
@@ -416,34 +419,23 @@ fn solve_one_class(
     opts: &SolverOptions,
     p: usize,
     quanta: &[PhaseType],
-    initial_r: Option<&Matrix>,
     cache: Option<&VacationCache>,
 ) -> Result<(PhaseType, ClassIterate)> {
     // Named per class so qbd events fired inside carry the class in their
     // span path (e.g. `core.solve/core.class1/qbd.solve`).
-    let _class_span = obs::span(format!("core.class{p}"));
+    let _class_span = obs::span(spans::core_class(p));
     let vac = {
-        let _vac_span = obs::span("core.vacation");
+        let _vac_span = obs::span(spans::CORE_VACATION);
         match cache {
             Some(c) => c.compose(model, p, quanta),
             None => compose_vacation(model, p, quanta),
         }
     };
     let chain = {
-        let _gen_span = obs::span("core.generator");
+        let _gen_span = obs::span(spans::CORE_GENERATOR);
         build_class_chain(model, p, &vac)?
     };
-    let qbd_opts;
-    let qbd_ref = match initial_r {
-        Some(r0) => {
-            let mut o = opts.qbd.clone();
-            o.initial_r = Some(r0.clone());
-            qbd_opts = o;
-            &qbd_opts
-        }
-        None => &opts.qbd,
-    };
-    match chain.qbd.solve(qbd_ref) {
+    match chain.qbd.solve(&opts.qbd) {
         Ok(sol) => Ok((vac, ClassIterate::Stable(Box::new((chain, sol))))),
         Err(QbdError::Unstable(_)) => Ok((vac, ClassIterate::Unstable)),
         Err(source) => Err(GangError::from(source).with_class(p)),
@@ -453,36 +445,25 @@ fn solve_one_class(
 /// Solve the gang-scheduling model with optional warm start and vacation
 /// memoization, returning the converged state for reuse.
 ///
-/// `warm = None` reproduces [`solve`] exactly (every `R` solve is cold).
-/// `warm = Some(_)` enables continuation mode: per-class `R` solves seed
-/// from the supplied matrices (and from the previous fixed-point pass
-/// thereafter), and the supplied quanta seed the effective-quantum fixed
-/// point. A `cache` memoizes vacation convolutions across calls.
+/// `warm = None` reproduces [`solve`] exactly. `warm = Some(_)` seeds the
+/// effective-quantum fixed point from the supplied quanta; every `R` solve
+/// is cold either way. A `cache` memoizes vacation convolutions across
+/// calls.
 pub fn solve_warm(
     model: &GangModel,
     opts: &SolverOptions,
     warm: Option<&WarmStart>,
     cache: Option<&VacationCache>,
 ) -> Result<SolveOutcome> {
-    let _span = obs::span("core.solve");
+    let _span = obs::span(spans::CORE_SOLVE);
     let l = model.num_classes();
-    let continuation = warm.is_some();
     // Effective quanta, initialized to the full parameter quanta (Thm 4.1)
-    // or, in continuation mode, to the neighbouring point's converged
-    // quanta (heavy-traffic mode always starts from the full quanta).
+    // or to the neighbouring point's converged quanta (heavy-traffic mode
+    // always starts from the full quanta).
     let mut quanta: Vec<PhaseType> = model.classes().iter().map(|c| c.quantum.clone()).collect();
-    // Per-class R warm-start state, threaded through fixed-point passes.
-    let mut r_state: Vec<Option<Matrix>> = vec![None; l];
-    if let Some(w) = warm {
-        if opts.mode != VacationMode::HeavyTraffic {
-            if let Some(q) = &w.quanta {
-                if q.len() == l {
-                    quanta = q.clone();
-                }
-            }
-        }
-        if w.r_matrices.len() == l {
-            r_state = w.r_matrices.clone();
+    if let Some(q) = warm.and_then(|w| w.quanta.as_ref()) {
+        if opts.mode != VacationMode::HeavyTraffic && q.len() == l {
+            quanta = q.clone();
         }
     }
     let mut prev_n: Vec<f64> = vec![f64::NAN; l];
@@ -505,18 +486,10 @@ pub fn solve_warm(
             let mut slots: Vec<Option<Result<(PhaseType, ClassIterate)>>> = Vec::new();
             slots.resize_with(l, || None);
             let quanta_ref = &quanta;
-            let r_state_ref = &r_state;
             crossbeam::scope(|s| {
                 for (p, slot) in slots.iter_mut().enumerate() {
                     s.spawn(move |_| {
-                        *slot = Some(solve_one_class(
-                            model,
-                            opts,
-                            p,
-                            quanta_ref,
-                            r_state_ref[p].as_ref(),
-                            cache,
-                        ));
+                        *slot = Some(solve_one_class(model, opts, p, quanta_ref, cache));
                     });
                 }
             })
@@ -527,7 +500,7 @@ pub fn solve_warm(
                 .collect()
         } else {
             (0..l)
-                .map(|p| solve_one_class(model, opts, p, &quanta, r_state[p].as_ref(), cache))
+                .map(|p| solve_one_class(model, opts, p, &quanta, cache))
                 .collect()
         };
         let mut pass = Vec::with_capacity(l);
@@ -541,13 +514,6 @@ pub fn solve_warm(
             });
             pass.push(item);
             vacs.push(vac);
-        }
-        if continuation {
-            for (p, item) in pass.iter().enumerate() {
-                if let ClassIterate::Stable(cs) = item {
-                    r_state[p] = Some(cs.1.r().clone());
-                }
-            }
         }
 
         // ---- Convergence test on the mean populations ----
@@ -597,7 +563,7 @@ pub fn solve_warm(
         }
 
         // ---- Update effective quanta for the next iteration ----
-        let _eff_span = obs::span("core.effective");
+        let _eff_span = obs::span(spans::CORE_EFFECTIVE);
         let theta = opts.damping.clamp(1e-3, 1.0);
         for p in 0..l {
             let raw = match &last_pass[p] {
@@ -631,7 +597,7 @@ pub fn solve_warm(
     }
 
     // ---- Assemble the final report ----
-    let measures_span = obs::span("core.measures");
+    let measures_span = obs::span(spans::CORE_MEASURES);
     let mut classes = Vec::with_capacity(l);
     let mut health_classes = Vec::with_capacity(if opts.collect_health { l } else { 0 });
     let mut all_stable = true;
@@ -778,13 +744,7 @@ pub fn solve_warm(
     }
     let warm_out = WarmStart {
         quanta: Some(quanta),
-        r_matrices: last_pass
-            .iter()
-            .map(|item| match item {
-                ClassIterate::Stable(cs) => Some(cs.1.r().clone()),
-                ClassIterate::Unstable => None,
-            })
-            .collect(),
+        r_matrices: Vec::new(),
     };
     Ok(SolveOutcome {
         solution: GangSolution {
@@ -1133,9 +1093,10 @@ mod tests {
         let m = symmetric_model(4, 2, 0.25, 1.0, 1.0);
         let opts = SolverOptions::default();
         let cold = solve_warm(&m, &opts, None, None).unwrap();
-        assert_eq!(cold.warm.r_matrices.len(), 2);
-        assert!(cold.warm.r_matrices.iter().all(|r| r.is_some()));
-        // Re-solving seeded with the converged state lands on the same
+        // Only the quanta carry over; R is never exported.
+        assert_eq!(cold.warm.quanta.as_ref().map(Vec::len), Some(2));
+        assert!(cold.warm.r_matrices.is_empty());
+        // Re-solving seeded with the converged quanta lands on the same
         // fixed point in no more iterations.
         let warm = solve_warm(&m, &opts, Some(&cold.warm), None).unwrap();
         assert!(warm.solution.iterations <= cold.solution.iterations);
@@ -1148,16 +1109,23 @@ mod tests {
             let rel = (a.mean_jobs - b.mean_jobs).abs() / a.mean_jobs;
             assert!(rel < 1e-4, "cold {} vs warm {}", a.mean_jobs, b.mean_jobs);
         }
-        // An empty warm start (continuation mode only) reproduces the cold
-        // trajectory: quanta seeds are absent and R seeding starts empty.
-        let cont = solve_warm(&m, &opts, Some(&WarmStart::default()), None).unwrap();
-        for (a, b) in cold
-            .solution
-            .classes
-            .iter()
-            .zip(cont.solution.classes.iter())
-        {
-            assert!((a.mean_jobs - b.mean_jobs).abs() < 1e-9);
+        // A warm start without quanta reproduces the cold solve bit for bit,
+        // and caller-supplied R matrices are not read.
+        let stray_r = WarmStart {
+            quanta: None,
+            r_matrices: vec![Some(Matrix::identity(3)), None],
+        };
+        for w in [WarmStart::default(), stray_r] {
+            let cont = solve_warm(&m, &opts, Some(&w), None).unwrap();
+            assert_eq!(cont.solution.iterations, cold.solution.iterations);
+            for (a, b) in cold
+                .solution
+                .classes
+                .iter()
+                .zip(cont.solution.classes.iter())
+            {
+                assert_eq!(a.mean_jobs.to_bits(), b.mean_jobs.to_bits());
+            }
         }
     }
 

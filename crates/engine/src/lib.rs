@@ -14,9 +14,9 @@
 //!    automatically when there are more workers than chunks).
 //!
 //! Within a chunk, points are solved left to right and each point
-//! *warm-starts* from its neighbour's converged state: the previous `R`
-//! matrix seeds the successive-substitution iteration for eq. (23) and the
-//! converged effective quanta seed the fixed point of Theorem 4.3.
+//! *warm-starts* from its neighbour's converged state: the converged
+//! effective quanta seed the fixed point of Theorem 4.3. Every `R` of
+//! eq. (23) is solved cold.
 //! Vacation convolutions (Theorem 4.1) are memoized across the whole sweep
 //! in a [`gsched_core::VacationCache`].
 //!

@@ -3,14 +3,15 @@
 //! Every counter/gauge/histogram name emitted by the workspace lives here
 //! as a `const`, so a rename is a compile error at every call site (and in
 //! every test that asserts on the metric) instead of a silently orphaned
-//! dashboard. Span *names* stay inline at their call sites — they are
-//! hierarchical paths assembled at runtime — but fixed metric families all
-//! route through this module.
+//! dashboard. The solver pipeline's span names, with the phase labels
+//! `gsched profile` prints for them, live in [`spans`].
 //!
 //! Names use `crate.component.operation` form, matching the crate that
 //! emits them. The Prometheus exposition in `gsched-service` derives its
 //! family names from its own constants, not these; these are the in-process
 //! (`--diag` snapshot) names.
+
+pub mod spans;
 
 // ---- gsched-service ----
 
@@ -69,9 +70,11 @@ pub const QBD_RMATRIX_ITERATIONS: &str = "qbd.rmatrix.iterations";
 pub const QBD_RMATRIX_ITERATIONS_PER_SOLVE: &str = "qbd.rmatrix.iterations_per_solve";
 /// Final `R` residual per solve (histogram).
 pub const QBD_RMATRIX_RESIDUAL: &str = "qbd.rmatrix.residual";
-/// Warm-started `R` solves that converged from the seed (counter).
+/// Warm-started `R` solves that converged from the seed (counter). Only a
+/// caller that sets `SolveOptions::initial_r` moves it; the gang solver
+/// solves every `R` cold and leaves it at 0.
 pub const QBD_RMATRIX_WARM_HITS: &str = "qbd.rmatrix.warm_hits";
-/// `R` solves that fell back to a cold start (counter).
+/// Seeded `R` solves that fell back to a cold start (counter).
 pub const QBD_RMATRIX_WARM_MISSES: &str = "qbd.rmatrix.warm_misses";
 /// Spectral radius of `R` per solve (histogram).
 pub const QBD_SPECTRAL_RADIUS: &str = "qbd.spectral_radius";

@@ -105,7 +105,7 @@ pub fn solve_r_with(
     max_iter: usize,
     backend: BackendKind,
 ) -> Result<Matrix> {
-    let _span = obs::span("qbd.solve_r");
+    let _span = obs::span(obs::names::spans::QBD_SOLVE_R);
     let be = backend.instance();
     match method {
         RSolverMethod::SuccessiveSubstitution => {

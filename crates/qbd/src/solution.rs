@@ -6,6 +6,7 @@ use crate::stability::drift_condition;
 use crate::{QbdError, Result};
 use gsched_linalg::{solve_left_nullspace, BackendKind, Matrix};
 use gsched_obs as obs;
+use obs::names::spans;
 
 /// How the finite boundary system (eqs. 21/25/26 + 24) is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,16 +93,19 @@ pub struct SolveOptions {
     /// §4.4 strong-connectivity check fails; if false, skip the check
     /// (useful when the caller has already verified it).
     pub check_irreducible: bool,
-    /// Warm-start iterate for `R`, typically the converged `R` of a nearby
-    /// parameter point (continuation solves along a sweep axis). When set
-    /// and dimension-compatible, a bounded iteration honouring `method` is
-    /// run from it first; if that stalls or fails validation the solve falls
-    /// back to the cold `method` transparently. Hits and fallbacks are
-    /// counted under `qbd.rmatrix.warm_hits` / `qbd.rmatrix.warm_misses`.
+    /// Optional seed iterate for `R`. When set and dimension-compatible, a
+    /// bounded iteration honouring `method` is run from it first; if that
+    /// stalls or fails validation the solve falls back to the cold `method`
+    /// transparently. Hits and fallbacks are counted under
+    /// `qbd.rmatrix.warm_hits` / `qbd.rmatrix.warm_misses`.
+    ///
+    /// The gang solver never sets it: seeding successive substitution from
+    /// a neighbouring `R` took more iterations than a cold logarithmic
+    /// reduction on every registry sweep, so every `R` it needs is solved
+    /// cold (and a level-truncation attempt does not seed the next one).
     pub initial_r: Option<Matrix>,
-    /// Iteration budget for the warm-started `R` attempt before falling
-    /// back to the cold solve. Kept small: a useful warm start converges in
-    /// a handful of contractive steps.
+    /// Iteration budget for the seeded `R` attempt before falling back to
+    /// the cold solve. Unused unless [`SolveOptions::initial_r`] is set.
     pub warm_max_iter: usize,
     /// Kernel backend for all dense linear algebra performed by the solve
     /// (products, factorizations, triangular/spectral work).
@@ -138,7 +142,8 @@ pub struct QbdSolution {
     r: Matrix,
     /// Cached `(I − R)⁻¹`.
     i_minus_r_inv: Matrix,
-    /// Spectral radius of `R`.
+    /// Spectral radius of `R`; `NaN` when the power iteration did not
+    /// settle and stability was decided from `(I − R)⁻¹` instead.
     sp_r: f64,
     /// Kernel backend the solve ran under; post-solve matrix work
     /// (moments, tail sums) keeps using it.
@@ -148,7 +153,7 @@ pub struct QbdSolution {
 }
 
 impl QbdProcess {
-    /// Compute `R`, honouring a warm-start iterate when one is supplied.
+    /// Compute `R`, honouring a seed iterate when the caller supplies one.
     ///
     /// A dimension-compatible `opts.initial_r` triggers a bounded warm
     /// attempt honouring `opts.method` first; any failure (stall, residual
@@ -202,9 +207,11 @@ impl QbdProcess {
     /// ([`QbdProcess::truncated`]) and attaches a [`TruncationCertificate`]
     /// to the solution.
     pub fn solve(&self, opts: &SolveOptions) -> Result<QbdSolution> {
+        let _span = obs::span(spans::QBD_SOLVE);
         match opts.truncation {
             LevelTruncation::None => self.solve_untruncated(opts),
             LevelTruncation::Fixed { level } => {
+                let _attempt = obs::span(spans::QBD_TRUNCATION_ATTEMPT);
                 let sub = self.truncated(level)?;
                 let mut sub_opts = opts.clone();
                 sub_opts.truncation = LevelTruncation::None;
@@ -226,7 +233,8 @@ impl QbdProcess {
 
     /// Automatic truncation: double the truncation level until the certified
     /// tail mass meets `target_tail`, falling back to the full solve when
-    /// truncation cannot apply or stops paying off.
+    /// truncation cannot apply or stops paying off. Each attempt solves its
+    /// `R` afresh: the previous attempt's `R` is not carried over.
     fn solve_truncated_auto(
         &self,
         target_tail: f64,
@@ -237,7 +245,10 @@ impl QbdProcess {
         // chain must surface as Unstable, not as a truncation that never
         // certifies (every frozen-capacity truncation of an unstable chain
         // is itself unstable, but the converse error would be misleading).
-        let drift = drift_condition(&self.a0, &self.a1, &self.a2)?;
+        let drift = {
+            let _span = obs::span(spans::QBD_DRIFT);
+            drift_condition(&self.a0, &self.a1, &self.a2)?
+        };
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
@@ -248,8 +259,8 @@ impl QbdProcess {
             self.solve_untruncated(&o)
         };
         let mut m = min_levels.max(1);
-        let mut warm: Option<Matrix> = None;
         while m < c {
+            let _attempt = obs::span(spans::QBD_TRUNCATION_ATTEMPT);
             let sub = match self.truncated(m) {
                 Ok(sub) => sub,
                 // Level sizes not saturated (multi-phase service): the
@@ -259,9 +270,6 @@ impl QbdProcess {
             };
             let mut attempt = opts.clone();
             attempt.truncation = LevelTruncation::None;
-            if let Some(r0) = warm.take() {
-                attempt.initial_r = Some(r0);
-            }
             match sub.solve_untruncated(&attempt) {
                 Ok(mut sol) => {
                     let tail = sol.tail_prob(m + 1);
@@ -303,7 +311,6 @@ impl QbdProcess {
                     } else {
                         projected
                     };
-                    warm = Some(sol.r().clone());
                 }
                 // The frozen capacity at m+1 partitions can be too small to
                 // drain the load even when the full chain is stable: grow.
@@ -315,11 +322,16 @@ impl QbdProcess {
     }
 
     fn solve_untruncated(&self, opts: &SolveOptions) -> Result<QbdSolution> {
-        let _span = obs::span("qbd.solve");
-        if opts.check_irreducible && !self.is_irreducible() {
-            return Err(QbdError::NotIrreducible);
+        if opts.check_irreducible {
+            let _span = obs::span(spans::QBD_IRREDUCIBLE);
+            if !self.is_irreducible() {
+                return Err(QbdError::NotIrreducible);
+            }
         }
-        let drift = drift_condition(&self.a0, &self.a1, &self.a2)?;
+        let drift = {
+            let _span = obs::span(spans::QBD_DRIFT);
+            drift_condition(&self.a0, &self.a1, &self.a2)?
+        };
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
@@ -330,16 +342,34 @@ impl QbdProcess {
             "R residual too large"
         );
         let d = self.repeating_dim();
-        let sp_r = be.spectral_radius(&r, 1e-12, 200_000).unwrap_or(1.0);
+        let sp_r = {
+            let _span = obs::span(spans::QBD_SPECTRAL_RADIUS);
+            be.spectral_radius(&r, 1e-12, 200_000).ok()
+        };
         if obs::enabled() {
-            obs::observe(obs::names::QBD_SPECTRAL_RADIUS, sp_r);
+            if let Some(sp) = sp_r {
+                obs::observe(obs::names::QBD_SPECTRAL_RADIUS, sp);
+            }
             obs::observe(obs::names::QBD_DRIFT_MARGIN, drift.margin());
         }
-        if sp_r >= 1.0 {
+        if sp_r.is_some_and(|sp| sp >= 1.0) {
             return Err(QbdError::Unstable(drift));
         }
-        let i_minus_r = &Matrix::identity(d) - &r;
-        let i_minus_r_inv = be.inverse(&i_minus_r)?;
+        let inverse = {
+            let _span = obs::span(spans::QBD_I_MINUS_R_INVERSE);
+            be.inverse(&(&Matrix::identity(d) - &r))
+        };
+        // The power iteration may not settle (on a periodic R it alternates
+        // forever). For R ≥ 0, sp(R) < 1 iff I − R is invertible with
+        // (I − R)⁻¹ = Σ Rᵏ ≥ 0; the tolerance absorbs roundoff on entries
+        // that are exactly zero.
+        let nonnegative = |m: &Matrix| m.as_slice().iter().all(|&v| v >= -1e-12 * m.max_abs());
+        let i_minus_r_inv = match (sp_r, inverse) {
+            (Some(_), inverse) => inverse?,
+            (None, Ok(inv)) if nonnegative(&inv) => inv,
+            (None, _) => return Err(QbdError::Unstable(drift)),
+        };
+        let sp_r = sp_r.unwrap_or(f64::NAN);
 
         // ---- Boundary linear system (eqs. 21/25/26 + 24) ----
         let c = self.c();
@@ -350,7 +380,7 @@ impl QbdProcess {
                 BoundaryMethod::Dense => false,
                 BoundaryMethod::Auto => nb >= CENSORED_AUTO_THRESHOLD,
             };
-        let boundary_span = obs::span("qbd.boundary_solve");
+        let boundary_span = obs::span(spans::QBD_BOUNDARY_SOLVE);
         obs::event(
             "qbd.boundary",
             &[
@@ -548,7 +578,9 @@ impl QbdSolution {
         &self.r
     }
 
-    /// Spectral radius of `R` (strictly below 1 for a solved system).
+    /// Spectral radius of `R` (strictly below 1 for a solved system), or
+    /// `NaN` when the power iteration did not converge — a periodic `R` —
+    /// and stability was certified by `(I − R)⁻¹ ≥ 0` instead.
     pub fn spectral_radius(&self) -> f64 {
         self.sp_r
     }
