@@ -188,6 +188,8 @@ fn doctor_json_has_per_class_health() {
     let parsed: serde_json::Value =
         serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
     assert_eq!(parsed["all_stable"], serde_json::Value::Bool(true));
+    assert_eq!(parsed["r_solver"].as_str(), Some("logarithmic_reduction"));
+    assert!(parsed.get("backend").is_none(), "retired field: {parsed}");
     let classes = parsed["classes"].as_array().unwrap();
     assert_eq!(classes.len(), 2);
     for c in classes {
@@ -864,6 +866,28 @@ fn bad_flags_fail_cleanly() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+}
+
+/// A flag no subcommand reads is an error that names it, not a silent
+/// no-op — the retired solver-selection flags included.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    for (args, flag) in [
+        (
+            &["solve", "--scenario", "fig2", "--method", "newton"][..],
+            "--method",
+        ),
+        (&["sweep", "all", "--backend", "banded"][..], "--backend"),
+        (&["bench", "--kernels", "--quick"][..], "--kernels"),
+    ] {
+        let out = gsched().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

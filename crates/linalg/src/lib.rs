@@ -6,14 +6,8 @@
 //! implements straightforward dense algorithms rather than pulling in an
 //! external linear-algebra stack:
 //!
-//! * [`Matrix`]: row-major dense matrix with the usual arithmetic.
-//! * [`backend`]: the [`LinalgBackend`] trait with swappable kernel
-//!   implementations — [`NaiveDense`] (reference), [`Blocked`]
-//!   (tiled/register-blocked), and [`BlockBanded`] (band-structure-aware) —
-//!   selected by a [`BackendKind`] token that travels through solver
-//!   options.
-//! * [`banded`]: band storage ([`BandedMatrix`]) and band LU
-//!   ([`BandedLu`]) for the block-tridiagonal QBD generators.
+//! * [`Matrix`]: row-major dense matrix with the usual arithmetic,
+//!   including the product [`Matrix::matmul`].
 //! * [`lu::Lu`]: LU decomposition with partial pivoting, linear solves and
 //!   inverses.
 //! * [`kron`]: Kronecker products and sums (used for min/max of phase-type
@@ -26,12 +20,14 @@
 //!   flops) behind the `gsched_obs::enabled()` guard, feeding the
 //!   `gsched profile` GFLOP/s attribution.
 //!
+//! This is the solver's one kernel set: every QBD and fixed-point solve
+//! calls [`Matrix::matmul`], [`Lu`] and [`spectral_radius`] directly, and
+//! those kernels record the work counters themselves.
+//!
 //! All computations are `f64`. The crate's only dependency is the
 //! workspace instrumentation layer `gsched-obs`, used solely as the on/off
 //! guard for the work counters.
 
-pub mod backend;
-pub mod banded;
 pub mod counters;
 pub mod kron;
 pub mod lu;
@@ -40,8 +36,6 @@ pub mod spectral;
 pub mod stationary;
 pub mod vecops;
 
-pub use backend::{BackendKind, BlockBanded, Blocked, Factor, LinalgBackend, NaiveDense};
-pub use banded::{BandedLu, BandedMatrix};
 pub use counters::WorkCounters;
 pub use kron::{kron_product, kron_sum};
 pub use lu::Lu;
@@ -52,6 +46,30 @@ pub use stationary::solve_left_nullspace;
 /// Default numerical tolerance used across the crate for convergence tests
 /// and singularity detection.
 pub const EPS: f64 = 1e-12;
+
+/// Compatibility token left from the removed kernel-backend selection.
+///
+/// There is one dense kernel set, so this is a unit type: [`instance`]
+/// returns it unchanged and [`spectral_radius`] forwards to the crate's
+/// free function. It keeps older call sites that still pass a backend
+/// compiling, and goes away together with `solve_r_warm`.
+///
+/// [`instance`]: BackendKind::instance
+/// [`spectral_radius`]: BackendKind::spectral_radius
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct BackendKind;
+
+impl BackendKind {
+    /// The kernel set itself (this token).
+    pub fn instance(self) -> BackendKind {
+        self
+    }
+
+    /// Spectral radius of a nonnegative matrix; see [`spectral_radius`].
+    pub fn spectral_radius(self, a: &Matrix, tol: f64, max_iter: usize) -> Result<f64> {
+        spectral_radius(a, tol, max_iter)
+    }
+}
 
 /// Error type for linear-algebra failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,17 +94,6 @@ pub enum LinalgError {
         /// Residual at the last iteration.
         residual: f64,
     },
-    /// A write targeted an entry outside a band matrix's stored band.
-    OutOfBand {
-        /// Row of the rejected write.
-        row: usize,
-        /// Column of the rejected write.
-        col: usize,
-        /// Lower bandwidth of the storage.
-        kl: usize,
-        /// Upper bandwidth of the storage.
-        ku: usize,
-    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -105,10 +112,6 @@ impl std::fmt::Display for LinalgError {
             } => write!(
                 f,
                 "{method} failed to converge after {iterations} iterations (residual {residual:.3e})"
-            ),
-            LinalgError::OutOfBand { row, col, kl, ku } => write!(
-                f,
-                "write at ({row}, {col}) is outside the stored band (kl={kl}, ku={ku})"
             ),
         }
     }

@@ -1,10 +1,10 @@
 //! Boundary solve and the stationary solution object (Theorem 4.2, eq. 37).
 
 use crate::process::QbdProcess;
-use crate::rmatrix::{r_residual_with, solve_r_warm_with, solve_r_with, RSolverMethod};
+use crate::rmatrix::{r_residual, solve_r, solve_r_warm, RSolverMethod};
 use crate::stability::drift_condition;
 use crate::{QbdError, Result};
-use gsched_linalg::{solve_left_nullspace, BackendKind, Matrix};
+use gsched_linalg::{solve_left_nullspace, spectral_radius, BackendKind, Lu, Matrix};
 use gsched_obs as obs;
 use obs::names::spans;
 
@@ -107,8 +107,8 @@ pub struct SolveOptions {
     /// Iteration budget for the seeded `R` attempt before falling back to
     /// the cold solve. Unused unless [`SolveOptions::initial_r`] is set.
     pub warm_max_iter: usize,
-    /// Kernel backend for all dense linear algebra performed by the solve
-    /// (products, factorizations, triangular/spectral work).
+    /// Left from the removed kernel-backend selection: it has one value and
+    /// is ignored. Goes away together with [`SolveOptions::initial_r`].
     pub backend: BackendKind,
     /// How the finite boundary system is solved.
     pub boundary: BoundaryMethod,
@@ -125,7 +125,7 @@ impl Default for SolveOptions {
             check_irreducible: true,
             initial_r: None,
             warm_max_iter: 200,
-            backend: BackendKind::default(),
+            backend: BackendKind,
             boundary: BoundaryMethod::default(),
             truncation: LevelTruncation::default(),
         }
@@ -145,9 +145,6 @@ pub struct QbdSolution {
     /// Spectral radius of `R`; `NaN` when the power iteration did not
     /// settle and stability was decided from `(I − R)⁻¹` instead.
     sp_r: f64,
-    /// Kernel backend the solve ran under; post-solve matrix work
-    /// (moments, tail sums) keeps using it.
-    backend: BackendKind,
     /// Present when the solve ran on a truncated chain.
     truncation: Option<TruncationCertificate>,
 }
@@ -165,7 +162,7 @@ impl QbdProcess {
             let d = self.repeating_dim();
             if r0.rows() == d && r0.cols() == d {
                 let budget = opts.warm_max_iter.min(opts.max_iter).max(1);
-                match solve_r_warm_with(
+                match solve_r_warm(
                     &self.a0,
                     &self.a1,
                     &self.a2,
@@ -174,7 +171,6 @@ impl QbdProcess {
                     opts.tol,
                     budget,
                     1e-8,
-                    opts.backend,
                 ) {
                     Ok(r) => {
                         obs::counter_add(obs::names::QBD_RMATRIX_WARM_HITS, 1);
@@ -186,14 +182,13 @@ impl QbdProcess {
                 obs::counter_add(obs::names::QBD_RMATRIX_WARM_MISSES, 1);
             }
         }
-        solve_r_with(
+        solve_r(
             &self.a0,
             &self.a1,
             &self.a2,
             opts.method,
             opts.tol,
             opts.max_iter,
-            opts.backend,
         )
     }
 
@@ -335,16 +330,15 @@ impl QbdProcess {
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
-        let be = opts.backend.instance();
         let r = self.solve_r_with_options(opts)?;
         debug_assert!(
-            r_residual_with(&self.a0, &self.a1, &self.a2, &r, opts.backend) < 1e-6,
+            r_residual(&self.a0, &self.a1, &self.a2, &r) < 1e-6,
             "R residual too large"
         );
         let d = self.repeating_dim();
         let sp_r = {
             let _span = obs::span(spans::QBD_SPECTRAL_RADIUS);
-            be.spectral_radius(&r, 1e-12, 200_000).ok()
+            spectral_radius(&r, 1e-12, 200_000).ok()
         };
         if obs::enabled() {
             if let Some(sp) = sp_r {
@@ -357,7 +351,7 @@ impl QbdProcess {
         }
         let inverse = {
             let _span = obs::span(spans::QBD_I_MINUS_R_INVERSE);
-            be.inverse(&(&Matrix::identity(d) - &r))
+            Lu::new(&(&Matrix::identity(d) - &r)).and_then(|lu| lu.inverse())
         };
         // The power iteration may not settle (on a periodic R it alternates
         // forever). For R ≥ 0, sp(R) < 1 iff I − R is invertible with
@@ -389,9 +383,9 @@ impl QbdProcess {
             ],
         );
         let boundary = if use_censored {
-            self.boundary_censored(&r, &i_minus_r_inv, opts.backend)?
+            self.boundary_censored(&r, &i_minus_r_inv)?
         } else {
-            self.boundary_dense(&r, &i_minus_r_inv, opts.backend)?
+            self.boundary_dense(&r, &i_minus_r_inv)?
         };
         drop(boundary_span);
 
@@ -400,20 +394,13 @@ impl QbdProcess {
             r,
             i_minus_r_inv,
             sp_r,
-            backend: opts.backend,
             truncation: None,
         })
     }
 
     /// Dense boundary solve: assemble the full `nb × nb` flow-balance system
     /// and take its left nullspace.
-    fn boundary_dense(
-        &self,
-        r: &Matrix,
-        i_minus_r_inv: &Matrix,
-        backend: BackendKind,
-    ) -> Result<Vec<Vec<f64>>> {
-        let be = backend.instance();
+    fn boundary_dense(&self, r: &Matrix, i_minus_r_inv: &Matrix) -> Result<Vec<Vec<f64>>> {
         let c = self.c();
         let dims: Vec<usize> = (0..=c).map(|i| self.level_dim(i)).collect();
         let offsets: Vec<usize> = dims
@@ -434,7 +421,7 @@ impl QbdProcess {
             if j < c {
                 m.set_block(offsets[j], offsets[j], &self.boundary_local[j]);
             } else {
-                let ra2 = be.matmul(r, &self.a2)?;
+                let ra2 = r.matmul(&self.a2)?;
                 let block = &self.boundary_local[c] + &ra2;
                 m.set_block(offsets[c], offsets[c], &block);
             }
@@ -470,20 +457,14 @@ impl QbdProcess {
     /// `π_c S_c = 0` is a `d × d` nullspace problem, and back-substitution
     /// `π_i = π_{i+1} T_i` recovers the lower levels. Never materializes the
     /// dense `nb × nb` system: `O(c·d³)` time, `O(c·d²)` memory.
-    fn boundary_censored(
-        &self,
-        r: &Matrix,
-        i_minus_r_inv: &Matrix,
-        backend: BackendKind,
-    ) -> Result<Vec<Vec<f64>>> {
-        let be = backend.instance();
+    fn boundary_censored(&self, r: &Matrix, i_minus_r_inv: &Matrix) -> Result<Vec<Vec<f64>>> {
         let c = self.c();
         debug_assert!(c >= 1);
         let mut s = self.boundary_local[0].clone();
         // T_i = D_{i+1}(−S_i)⁻¹, kept for back-substitution.
         let mut ts: Vec<Matrix> = Vec::with_capacity(c);
         for i in 0..c {
-            let mut neg_s_inv = be.inverse(&s.scaled(-1.0))?;
+            let mut neg_s_inv = Lu::new(&s.scaled(-1.0))?.inverse()?;
             // `−S_i` is an M-matrix, so its inverse is entrywise nonnegative
             // in exact arithmetic; clamp inversion roundoff so the `T_i`
             // products (and the back-substituted `π_i`) stay nonnegative by
@@ -493,11 +474,11 @@ impl QbdProcess {
                     *v = 0.0;
                 }
             }
-            let t = be.matmul(&self.boundary_down[i], &neg_s_inv)?;
-            let tu = be.matmul(&t, &self.boundary_up[i])?;
+            let t = self.boundary_down[i].matmul(&neg_s_inv)?;
+            let tu = t.matmul(&self.boundary_up[i])?;
             s = &self.boundary_local[i + 1] + &tu;
             if i + 1 == c {
-                let ra2 = be.matmul(r, &self.a2)?;
+                let ra2 = r.matmul(&self.a2)?;
                 s = &s + &ra2;
             }
             ts.push(t);
@@ -583,11 +564,6 @@ impl QbdSolution {
     /// and stability was certified by `(I − R)⁻¹ ≥ 0` instead.
     pub fn spectral_radius(&self) -> f64 {
         self.sp_r
-    }
-
-    /// Kernel backend the solve ran under.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// The truncation certificate, when this solution came from a truncated
@@ -683,11 +659,11 @@ impl QbdSolution {
                 .map(|(a, b)| a * b)
                 .sum::<f64>();
         // π_c (I−R)⁻² R e
-        let be = self.backend.instance();
-        let inv2 = be
-            .matmul(&self.i_minus_r_inv, &self.i_minus_r_inv)
+        let inv2 = self
+            .i_minus_r_inv
+            .matmul(&self.i_minus_r_inv)
             .expect("square");
-        let inv2_r = be.matmul(&inv2, &self.r).expect("square");
+        let inv2_r = inv2.matmul(&self.r).expect("square");
         let v = inv2_r.row_sums();
         n += pi_c.iter().zip(v.iter()).map(|(a, b)| a * b).sum::<f64>();
         n
@@ -703,19 +679,19 @@ impl QbdSolution {
         }
         let pi_c = &self.boundary[c];
         let d = self.r.rows();
-        let be = self.backend.instance();
         let inv = &self.i_minus_r_inv;
-        let inv2 = be.matmul(inv, inv).expect("square");
-        let inv3 = be.matmul(&inv2, inv).expect("square");
+        let inv2 = inv.matmul(inv).expect("square");
+        let inv3 = inv2.matmul(inv).expect("square");
         // Σ_{n≥0} (c+n)² π_c Rⁿ e
         //   = c² π_c(I−R)⁻¹e + 2c π_c R(I−R)⁻²e + π_c R(I+R)(I−R)⁻³e
         let t1 = inv.row_sums();
-        let r_inv2 = be.matmul(&self.r, &inv2).expect("square");
+        let r_inv2 = self.r.matmul(&inv2).expect("square");
         let t2 = r_inv2.row_sums();
         let i_plus_r = &Matrix::identity(d) + &self.r;
-        let r_ipr_inv3 = be
-            .matmul(&self.r, &i_plus_r)
-            .and_then(|m| be.matmul(&m, &inv3))
+        let r_ipr_inv3 = self
+            .r
+            .matmul(&i_plus_r)
+            .and_then(|m| m.matmul(&inv3))
             .expect("square");
         let t3 = r_ipr_inv3.row_sums();
         let cf = c as f64;
@@ -970,50 +946,21 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_honors_newton_method() {
-        // Same warm-start scenario as above but with the Newton method
-        // requested: the warm path must use it (and still land on rho).
-        let rho: f64 = 0.6;
-        let q = mm1(rho, 1.0);
-        let cold = q.solve(&SolveOptions::default()).unwrap();
-        let mut r0 = cold.r().clone();
-        r0[(0, 0)] += 1e-3;
-        let warm_opts = SolveOptions {
-            method: RSolverMethod::Newton,
-            initial_r: Some(r0),
-            ..Default::default()
-        };
-        let warm = q.solve(&warm_opts).unwrap();
-        assert!((warm.r()[(0, 0)] - rho).abs() < 1e-10, "R should be rho");
-        assert!((warm.mean_level() - cold.mean_level()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn backends_and_methods_agree_on_solution() {
+    fn methods_agree_on_solution() {
         let q = mmc(1.2, 1.0, 2);
         let want = q.solve(&SolveOptions::default()).unwrap();
-        for backend in BackendKind::ALL {
-            for method in [
-                RSolverMethod::LogarithmicReduction,
-                RSolverMethod::SuccessiveSubstitution,
-                RSolverMethod::Newton,
-            ] {
-                let opts = SolveOptions {
-                    method,
-                    backend,
-                    ..Default::default()
-                };
-                let sol = q.solve(&opts).unwrap();
-                assert_eq!(sol.backend(), backend);
-                assert!(
-                    (sol.mean_level() - want.mean_level()).abs() < 1e-9,
-                    "{backend}/{method}: {} vs {}",
-                    sol.mean_level(),
-                    want.mean_level()
-                );
-                assert!((sol.total_mass() - 1.0).abs() < 1e-9);
-            }
-        }
+        let opts = SolveOptions {
+            method: RSolverMethod::SuccessiveSubstitution,
+            ..Default::default()
+        };
+        let sol = q.solve(&opts).unwrap();
+        assert!(
+            (sol.mean_level() - want.mean_level()).abs() < 1e-9,
+            "{} vs {}",
+            sol.mean_level(),
+            want.mean_level()
+        );
+        assert!((sol.total_mass() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1039,27 +986,6 @@ mod tests {
                 "n={n}: {} vs {}",
                 dense.level_prob(n),
                 cens.level_prob(n)
-            );
-        }
-    }
-
-    #[test]
-    fn censored_matches_dense_on_all_backends() {
-        let q = mmc(1.2, 1.0, 3);
-        let want = q.solve(&SolveOptions::default()).unwrap();
-        for backend in BackendKind::ALL {
-            let sol = q
-                .solve(&SolveOptions {
-                    boundary: BoundaryMethod::Censored,
-                    backend,
-                    ..Default::default()
-                })
-                .unwrap();
-            assert!(
-                (sol.mean_level() - want.mean_level()).abs() < 1e-9,
-                "{backend}: {} vs {}",
-                sol.mean_level(),
-                want.mean_level()
             );
         }
     }

@@ -25,8 +25,11 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping for hand-rolled output.
+/// JSON string literal for hand-rolled output: escapes `"`, `\` and every
+/// control character U+0000–U+001F (short forms where JSON has them,
+/// `\u00XX` otherwise). Every other character is copied unchanged.
 pub fn json_str(s: &str) -> String {
+    use std::fmt::Write;
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -34,6 +37,13 @@ pub fn json_str(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if c < '\u{20}' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             _ => out.push(c),
         }
     }
@@ -138,5 +148,13 @@ mod tests {
     #[test]
     fn json_str_escapes() {
         assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(json_str("\t\r\u{8}\u{c}"), r#""\t\r\b\f""#);
+        assert_eq!(json_str("\u{0}\u{1}\u{1f}"), r#""\u0000\u0001\u001f""#);
+        // Printable text, including non-ASCII and U+007F, keeps its bytes.
+        assert_eq!(json_str("fig2 é ✓ \u{7f}"), "\"fig2 é ✓ \u{7f}\"");
+        // Every control character round-trips through a strict parser.
+        let all: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        let back: String = serde_json::from_str(&json_str(&all)).unwrap();
+        assert_eq!(back, all);
     }
 }

@@ -230,6 +230,46 @@ fn protocol_versions_are_answered_in_kind() {
     assert!(bad_doc.get("proto").is_none(), "{bad}");
 }
 
+/// Strict JSON (RFC 8259 §7) has no raw U+0000–U+001F inside strings, and
+/// a frame is one line, so a conforming frame holds none at all. Checked
+/// directly because the workspace's offline `serde_json` stand-in accepts
+/// them.
+fn assert_no_raw_control(frame: &str) {
+    assert!(
+        !frame.chars().any(|c| c < '\u{20}'),
+        "raw control character in frame: {frame:?}"
+    );
+}
+
+/// Control characters a client puts in a request (here a tab and U+0001,
+/// JSON-escaped on the way in) come back escaped: every reply frame, ok or
+/// error, parses as strict JSON and carries the id unchanged.
+#[test]
+fn control_characters_in_ids_and_errors_stay_valid_json() {
+    let ts = TestServer::start(1, 8);
+    let mut client = ts.client();
+    let id = "run\t7\u{1}";
+
+    let ok = client
+        .request_line(r#"{"proto":2,"id":"run\t7\u0001","scenario":"fig2"}"#)
+        .unwrap();
+    assert!(frame_is_ok(&ok), "{ok}");
+    assert_no_raw_control(&ok);
+    let doc: Value = serde_json::from_str(&ok).expect("ok frame is valid JSON");
+    assert_eq!(field(&doc, "id").as_str(), Some(id));
+
+    let err = client
+        .request_line(r#"{"proto":2,"id":"run\t7\u0001","scenario":"no\tsuch\u0001"}"#)
+        .unwrap();
+    assert!(!frame_is_ok(&err), "{err}");
+    assert_no_raw_control(&err);
+    let doc: Value = serde_json::from_str(&err).expect("error frame is valid JSON");
+    assert_eq!(field(&doc, "id").as_str(), Some(id));
+    let error = field(&doc, "error");
+    assert_eq!(field(error, "kind").as_str(), Some("unknown_scenario"));
+    assert!(field(error, "message").as_str().is_some(), "{err}");
+}
+
 /// M identical concurrent cache misses must run exactly one engine
 /// solve: the leader enqueues, the rest coalesce onto the same flight,
 /// and everyone shares the published bytes.
